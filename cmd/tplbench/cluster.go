@@ -42,7 +42,7 @@ import (
 // terms) rather than the 2ms default. The scaling rows must measure
 // shard independence, not how many cores the bench machine happens to
 // have: with a wider window each request's CPU share (decode, journal
-// gob-encode, fsync issue) stays small next to the window even with
+// encode, fsync issue) stays small next to the window even with
 // four shards on one core, so the measured regime is the
 // commit-window-bound one the sharding design targets. The perf gate
 // then holds the ratio — a change that couples the shards (a shared

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -29,7 +27,7 @@ type persistPoint struct {
 	Cohorts          int     `json:"cohorts"`
 	Steps            int     `json:"steps"`
 	SnapshotNs       int64   `json:"snapshot_ns"`        // capture the in-memory state
-	EncodeNs         int64   `json:"encode_ns"`          // gob-encode the state
+	EncodeNs         int64   `json:"encode_ns"`          // encode the state (ServerState.AppendBinary, the snapshot body codec)
 	SnapshotBytes    int     `json:"snapshot_bytes"`     // encoded size (pre-envelope)
 	SaveNs           int64   `json:"save_ns"`            // envelope + atomic write + fsync
 	RestoreNs        int64   `json:"restore_ns"`         // decode + rebuild a live server
@@ -92,14 +90,14 @@ func persistBench(seed int64, users int) (persistPoint, error) {
 	st := srv.Snapshot()
 	p.SnapshotNs = time.Since(start).Nanoseconds()
 
-	// Encode (gob, the service's snapshot body codec).
+	// Encode with the codec the service's snapshot bodies embed.
 	start = time.Now()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	body, err := st.AppendBinary(nil)
+	if err != nil {
 		return persistPoint{}, err
 	}
 	p.EncodeNs = time.Since(start).Nanoseconds()
-	p.SnapshotBytes = buf.Len()
+	p.SnapshotBytes = len(body)
 
 	// Durable write: envelope + temp file + fsync + rename.
 	dir, err := os.MkdirTemp("", "tplbench-persist-*")
@@ -112,7 +110,7 @@ func persistBench(seed int64, users int) (persistPoint, error) {
 		return persistPoint{}, err
 	}
 	start = time.Now()
-	if err := store.SaveSnapshot("bench", 1, buf.Bytes()); err != nil {
+	if err := store.SaveSnapshot("bench", 1, body); err != nil {
 		return persistPoint{}, err
 	}
 	p.SaveNs = time.Since(start).Nanoseconds()
@@ -130,12 +128,12 @@ func persistBench(seed int64, users int) (persistPoint, error) {
 			return persistPoint{}, err
 		}
 		rec := stream.StepRecord{T: srv.T(), Eps: 0.1, Published: noisy, NoiseDraws: srv.NoiseState().Draws}
-		var rb bytes.Buffer
-		if err := gob.NewEncoder(&rb).Encode(rec); err != nil {
+		rb, err := rec.AppendBinary(nil)
+		if err != nil {
 			return persistPoint{}, err
 		}
-		recs = append(recs, rb.Bytes())
-		if err := j.Append(1, rb.Bytes()); err != nil {
+		recs = append(recs, rb)
+		if err := j.Append(1, rb); err != nil {
 			return persistPoint{}, err
 		}
 	}
@@ -164,15 +162,15 @@ func persistBench(seed int64, users int) (persistPoint, error) {
 
 	// Restore: load + decode + rebuild.
 	start = time.Now()
-	_, body, err := store.LoadSnapshot("bench")
+	_, body, err = store.LoadSnapshot("bench")
 	if err != nil {
 		return persistPoint{}, err
 	}
-	var back stream.ServerState
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&back); err != nil {
+	back, err := stream.DecodeServerState(body)
+	if err != nil {
 		return persistPoint{}, err
 	}
-	restored, err := stream.RestoreServer(&back, stream.RestoreOptions{})
+	restored, err := stream.RestoreServer(back, stream.RestoreOptions{})
 	if err != nil {
 		return persistPoint{}, err
 	}
@@ -181,8 +179,8 @@ func persistBench(seed int64, users int) (persistPoint, error) {
 	// Replay rate: the journal tail through ApplyStep.
 	start = time.Now()
 	res, err := store.ReplayJournal("bench", func(version uint32, body []byte) error {
-		var rec stream.StepRecord
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
+		rec, err := stream.DecodeStepRecord(body)
+		if err != nil {
 			return err
 		}
 		return restored.ApplyStep(rec)
@@ -206,7 +204,7 @@ func persistBench(seed int64, users int) (persistPoint, error) {
 func runPersistBench(wr *report.Writer, seed int64, jsonPath string) error {
 	doc := persistBenchFile{
 		Benchmark: "persist",
-		Note:      "snapshot/encode/save_ns is the coalesced per-snapshot cost; journal_append_ns the per-step cost; replay_per_sec the recovery rate of snapshot+journal restores",
+		Note:      "snapshot/encode/save_ns is the coalesced per-snapshot cost, encode_ns and snapshot_bytes with ServerState.AppendBinary (the codec snapshot bodies embed); journal_append_ns the per-step cost of appending one StepRecord encoding; replay_per_sec the recovery rate of snapshot+journal restores",
 	}
 	for _, users := range persistBenchSizes {
 		p, err := persistBench(seed, users)

@@ -21,8 +21,8 @@ import (
 //  3. no floating-point accumulation in map-iteration order (float
 //     addition does not commute in rounding).
 //
-// Scope: all of internal/persist, internal/chunked and internal/report
-// (the wire formats themselves), plus functions in internal/core and
+// Scope: all of internal/persist, internal/wire, internal/chunked and
+// internal/report (the wire formats themselves), plus functions in internal/core and
 // internal/stream whose names say they are on the snapshot/replay path
 // (Snapshot, Restore, Marshal, Encode, ApplyStep, fingerprints and
 // hashes).
@@ -41,7 +41,7 @@ var Determinism = &Analyzer{
 }
 
 // determinismWholePkgs are fully in-scope packages.
-var determinismWholePkgs = []string{"internal/persist", "internal/chunked", "internal/report"}
+var determinismWholePkgs = []string{"internal/persist", "internal/wire", "internal/chunked", "internal/report"}
 
 // determinismFuncRe scopes core/stream to their wire-path functions.
 var determinismFuncRe = regexp.MustCompile(`(?i)snapshot|restore|marshal|unmarshal|encode|decode|wire|applystep|fingerprint|contenthash|replay`)

@@ -100,9 +100,9 @@ func wireMarker(gd *ast.GenDecl, ts *ast.TypeSpec) ([]string, token.Pos) {
 // and types in declaration order. Any addition, removal, rename,
 // reorder or retype changes the hash, which forces the marker line —
 // and with it a reviewed version decision — to change in the same diff.
-// Unexported fields count too: gob (the session codec) skips them, but
-// the hand-rolled binary encodings do not, and a hash that ignored them
-// would wave half the schema through.
+// Unexported fields count too: the legacy gob readers skip them, but
+// the binary encodings do not, and a hash that ignored them would wave
+// half the schema through.
 func schemaHash(pkg *types.Package, st *types.Struct) string {
 	qual := types.RelativeTo(pkg)
 	var b strings.Builder

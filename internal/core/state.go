@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/chunked"
 )
@@ -223,12 +224,23 @@ const maxStateElems = 1 << 32
 
 // MarshalBinary encodes the state in the stable wire format.
 func (st *AccountantState) MarshalBinary() ([]byte, error) {
-	if len(st.BackwardHash) > 255 || len(st.ForwardHash) > 255 {
-		return nil, &InvalidStateError{Field: "hash", Reason: "content hash longer than 255 bytes"}
-	}
-	n := 1 + 2 + len(st.BackwardHash) + len(st.ForwardHash) +
+	return st.AppendBinary(nil)
+}
+
+// BinarySize is the exact length of the state's wire encoding, so
+// containers can length-prefix it without encoding it twice.
+func (st *AccountantState) BinarySize() int {
+	return 1 + 2 + len(st.BackwardHash) + len(st.ForwardHash) +
 		8*3 + 8*(len(st.Eps)+len(st.BPL)+len(st.FPL)) + 8
-	out := make([]byte, 0, n)
+}
+
+// AppendBinary appends the stable wire format to dst
+// (encoding.BinaryAppender); the bytes are exactly MarshalBinary's.
+func (st *AccountantState) AppendBinary(dst []byte) ([]byte, error) {
+	if len(st.BackwardHash) > 255 || len(st.ForwardHash) > 255 {
+		return dst, &InvalidStateError{Field: "hash", Reason: "content hash longer than 255 bytes"}
+	}
+	out := slices.Grow(dst, st.BinarySize())
 	out = append(out, accountantStateVersion)
 	out = append(out, byte(len(st.BackwardHash)))
 	out = append(out, st.BackwardHash...)

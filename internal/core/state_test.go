@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand"
@@ -181,6 +182,29 @@ func TestStateWireRoundTrip(t *testing.T) {
 				t.Fatalf("%s[%d]: bits %x != %x", name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
+	}
+}
+
+// TestStateAppendBinaryPinsWireBytes: AppendBinary appends exactly the
+// MarshalBinary bytes after whatever dst holds, and those bytes are the
+// version-1 layout snapshots have always stored.
+func TestStateAppendBinaryPinsWireBytes(t *testing.T) {
+	st := &AccountantState{BackwardHash: "ab", Eps: []float64{0.5}, BPL: []float64{0.5}, FPL: []float64{0.5}, FPLT: 1}
+	const want = "01026162000100000000000000000000000000e03f0100000000000000000000000000e03f0100000000000000000000000000e03f0100000000000000"
+	wire, err := st.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(wire); got != want {
+		t.Fatalf("wire bytes changed:\n got %s\nwant %s", got, want)
+	}
+	prefix := []byte("prefix")
+	out, err := st.AppendBinary(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out[:len(prefix)]) != "prefix" || hex.EncodeToString(out[len(prefix):]) != want {
+		t.Fatalf("AppendBinary(prefix) = %x", out)
 	}
 }
 

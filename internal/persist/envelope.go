@@ -6,7 +6,8 @@
 // never the accumulated leakage accounting.
 //
 // The package deals only in opaque body bytes; what the bytes mean
-// (gob-encoded session state, step records) is the caller's business.
+// (session state and journal batch records in the service's binary
+// codec) is the caller's business.
 // This keeps the corruption surface auditable: every read path here is
 // fuzzed to never panic and never hand back bytes whose checksum does
 // not match.

@@ -73,7 +73,7 @@ func (r *Registry) Migrate(ctx context.Context, name, target string) (string, er
 		s.stepMu.Unlock()
 		return "", &WrongShardError{Name: name, Location: loc}
 	}
-	body, err := s.encodeStateLocked(s.srv.Snapshot())
+	body, err := s.appendStateLocked(nil, s.srv.Snapshot())
 	if err != nil {
 		s.stepMu.Unlock()
 		return "", err

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -19,23 +17,20 @@ import (
 // tplserved therefore cannot reset anyone's privacy budget — which is
 // the whole point of the accounting.
 
-// Snapshot/journal schema versions inside the persist envelopes. Bump
-// on any change to the encodings; restores reject versions they do not
+// Snapshot/journal schema versions inside the persist envelopes. Every
+// change to a body layout (codec.go, and the stream and core encodings
+// it embeds) bumps the version; restores reject versions they do not
 // understand rather than guessing.
 //
-// Snapshots: version 2 added the idempotency entries (gob tolerates the
-// absent field, so version-1 snapshots still restore — with an empty
-// key memory). Journals: version-1 records are single stream.StepRecord
-// bodies (pre-batch); version-2 records are batchRecords carrying a
-// whole ingestion batch plus its optional idempotency record, appended
-// as ONE checksummed envelope so a torn tail drops a batch and its key
+// Version 3 is the binary codec of codec.go. Versions 1 and 2 were gob
+// and are read by legacy_gob.go. A journal record carries a whole
+// ingestion batch plus its optional idempotency record as ONE
+// checksummed envelope, so a torn tail drops a batch and its key
 // together — the retry-safety invariant (a key on disk implies all its
 // steps are too) depends on exactly that atomicity.
 const (
-	sessionSchemaVersion       = 2
-	sessionSchemaVersionLegacy = 1
-	stepSchemaVersion          = 1
-	batchSchemaVersion         = 2
+	sessionSchemaVersion = 3
+	batchSchemaVersion   = 3
 )
 
 // defaultSnapshotEvery is the snapshot coalescing interval in steps: a
@@ -113,13 +108,13 @@ func (r *Registry) SetJournalSync(mode JournalSyncMode, window time.Duration) er
 	return nil
 }
 
-// sessionState is the gob body of a session snapshot: the original
-// config (JSON, exactly as submitted — plans and noise modes are
-// rebuilt from it rather than serialized), the creation time, the full
-// server state, and the idempotency-key memory (oldest-first, so the
-// LRU order survives the restart).
+// sessionState is the body of a session snapshot and of a migration
+// push: the original config (JSON, exactly as submitted — plans and
+// noise modes are rebuilt from it rather than serialized), the creation
+// time, the full server state, and the idempotency-key memory
+// (oldest-first, so the LRU order survives the restart).
 //
-//tplvet:wire v2 schema=9bd3818beedc
+//tplvet:wire v3 schema=9bd3818beedc
 type sessionState struct {
 	ConfigJSON []byte
 	Created    time.Time
@@ -127,28 +122,13 @@ type sessionState struct {
 	Idem       []idemRecord
 }
 
-// batchRecord is the version-2 journal body: one ingestion batch and
-// its optional idempotency record, durable or lost as a unit.
+// batchRecord is the journal body: one ingestion batch and its
+// optional idempotency record, durable or lost as a unit.
 //
-//tplvet:wire v2 schema=25063561ee9b
+//tplvet:wire v3 schema=25063561ee9b
 type batchRecord struct {
 	Steps []stream.StepRecord
 	Idem  *idemRecord
-}
-
-// gobEncode/gobDecode are the body codec. Gob encodes float64 as raw
-// bits, so the wire round-trip is bit-identical — the restore-equality
-// guarantee needs exactly that.
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
 // EnablePersistence attaches a snapshot store to the registry. Must be
@@ -212,11 +192,13 @@ func (s *Session) initPersistenceLocked(store *persist.Store, snapshotEvery int)
 // failed append left behind. Caller holds s.stepMu.
 func (s *Session) snapshotLocked() error {
 	st := s.srv.Snapshot()
-	body, err := s.encodeStateLocked(st)
-	if err != nil {
-		return err
+	buf := getBodyBuf()
+	body, err := s.appendStateLocked(*buf, st)
+	if err == nil {
+		err = s.store.SaveSnapshot(s.name, sessionSchemaVersion, body)
 	}
-	if err := s.store.SaveSnapshot(s.name, sessionSchemaVersion, body); err != nil {
+	putBodyBuf(buf, body)
+	if err != nil {
 		return err
 	}
 	if s.journal != nil {
@@ -234,11 +216,12 @@ func (s *Session) snapshotLocked() error {
 	return nil
 }
 
-// encodeStateLocked gob-encodes the session's full portable state (the
-// same body snapshots persist; migration ships it over the wire). Caller
-// holds s.stepMu; st is a fresh s.srv.Snapshot().
-func (s *Session) encodeStateLocked(st *stream.ServerState) ([]byte, error) {
-	body, err := gobEncode(sessionState{ConfigJSON: s.cfgJSON, Created: s.created, Server: st, Idem: s.idem.entries()})
+// appendStateLocked appends the session's full portable state to dst
+// (the same body snapshots persist; migration ships it over the wire).
+// Caller holds s.stepMu; st is a fresh s.srv.Snapshot().
+func (s *Session) appendStateLocked(dst []byte, st *stream.ServerState) ([]byte, error) {
+	state := sessionState{ConfigJSON: s.cfgJSON, Created: s.created, Server: st, Idem: s.idem.entries()}
+	body, err := state.appendBinary(dst)
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding snapshot: %w", err)
 	}
@@ -277,14 +260,10 @@ func (s *Session) persistBatch(results []stream.StepResult, idem *idemRecord) {
 		}
 		return // on success the snapshot covers this batch
 	}
-	rec := batchRecord{Steps: make([]stream.StepRecord, len(results)), Idem: idem}
-	for i, r := range results {
-		rec.Steps[i] = stream.StepRecord{T: r.T, Eps: r.Eps, Published: r.Published, NoiseDraws: r.Draws}
-	}
-	body, err := gobEncode(rec)
-	if err == nil {
-		err = s.appendJournal(batchSchemaVersion, body)
-	}
+	buf := getBodyBuf()
+	body := appendBatchRecord(*buf, results, idem)
+	err := s.appendJournal(batchSchemaVersion, body)
+	putBodyBuf(buf, body)
 	lastT := results[len(results)-1].T
 	if err != nil {
 		s.latchPersistErr(fmt.Errorf("service: journaling batch ending at step %d: %w", lastT, err))
@@ -361,8 +340,9 @@ func (s *Session) persistInfo() *PersistInfo {
 }
 
 // SnapshotNow forces an immediate snapshot (the POST
-// /v1/sessions/{name}/snapshot endpoint) and returns the resulting
-// persistence info. ErrNoStore in ephemeral mode.
+// /v2/sessions/{name}/snapshot endpoint, and its deprecated /v1 twin)
+// and returns the resulting persistence info. ErrNoStore in ephemeral
+// mode.
 func (s *Session) SnapshotNow() (*PersistInfo, error) {
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
@@ -457,11 +437,8 @@ func (r *Registry) RestoreAll() (restored []string, failed map[string]error) {
 // engines re-attached by content hash through the shared model cache.
 // Both boot-time restore and cross-shard import go through it.
 func (r *Registry) decodeSessionState(version uint32, body []byte) (st sessionState, cfg SessionConfig, srv *stream.Server, err error) {
-	if version != sessionSchemaVersion && version != sessionSchemaVersionLegacy {
-		return st, cfg, nil, fmt.Errorf("service: snapshot schema version %d not supported (want %d)", version, sessionSchemaVersion)
-	}
-	if err := gobDecode(body, &st); err != nil {
-		return st, cfg, nil, fmt.Errorf("service: decoding snapshot: %w", err)
+	if st, err = decodeSessionBody(version, body); err != nil {
+		return st, cfg, nil, err
 	}
 	if st.Server == nil {
 		return st, cfg, nil, fmt.Errorf("service: snapshot has no server state")
@@ -503,46 +480,32 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 		return fmt.Errorf("service: snapshot file %q holds config for session %q", name, cfg.Name)
 	}
 	snapT := srv.T()
-	// Replay the journal tail: version-1 records are single steps,
-	// version-2 records whole batches (steps + idempotency record).
-	// Step records at or before the snapshot are expected (crash between
-	// snapshot and journal reset) and skipped; gaps or schema mismatches
-	// beyond it fail the session. Idempotency records are collected in
-	// journal order and layered over the snapshot's entries below.
+	// Replay the journal tail, one batch record at a time (a legacy
+	// version-1 record is a batch of one step). Step records at or
+	// before the snapshot are expected (crash between snapshot and
+	// journal reset) and skipped; gaps or schema mismatches beyond it
+	// fail the session. Idempotency records are collected in journal
+	// order and layered over the snapshot's entries below.
 	var idemTail []idemRecord
 	replayedSteps := 0
-	applyStep := func(rec stream.StepRecord) error {
-		if rec.T <= snapT {
-			return nil
-		}
-		replayedSteps++
-		return srv.ApplyStep(rec)
-	}
 	_, err = store.ReplayJournal(name, func(version uint32, body []byte) error {
-		switch version {
-		case stepSchemaVersion:
-			var rec stream.StepRecord
-			if err := gobDecode(body, &rec); err != nil {
-				return fmt.Errorf("service: decoding journal record: %w", err)
-			}
-			return applyStep(rec)
-		case batchSchemaVersion:
-			var rec batchRecord
-			if err := gobDecode(body, &rec); err != nil {
-				return fmt.Errorf("service: decoding journal batch record: %w", err)
-			}
-			for _, st := range rec.Steps {
-				if err := applyStep(st); err != nil {
-					return err
-				}
-			}
-			if rec.Idem != nil {
-				idemTail = append(idemTail, *rec.Idem)
-			}
-			return nil
-		default:
-			return fmt.Errorf("service: journal schema version %d not supported (want %d or %d)", version, stepSchemaVersion, batchSchemaVersion)
+		rec, err := decodeJournalRecord(version, body)
+		if err != nil {
+			return err
 		}
+		for _, step := range rec.Steps {
+			if step.T <= snapT {
+				continue
+			}
+			replayedSteps++
+			if err := srv.ApplyStep(step); err != nil {
+				return err
+			}
+		}
+		if rec.Idem != nil {
+			idemTail = append(idemTail, *rec.Idem)
+		}
+		return nil
 	})
 	if err != nil {
 		return err
@@ -593,7 +556,7 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 	// acknowledged steps. The session is not yet visible, so no lock
 	// ordering concerns.
 	if err := s.snapshotLocked(); err != nil {
-		s.journalBad = true // persistStep retries the snapshot instead of appending
+		s.journalBad = true // persistBatch retries the snapshot instead of appending
 		s.latchPersistErr(err)
 	}
 	if err := r.reserveUsers(srv.Users()); err != nil {

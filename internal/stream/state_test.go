@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"math/rand"
 	"testing"
@@ -122,19 +121,28 @@ func mustAgree(t *testing.T, orig, restored *Server, sampleUsers []int) {
 	}
 }
 
-// snapshotRoundTrip pushes a ServerState through gob — the encoding the
-// service persists — proving serialization keeps bit-identical floats.
+// snapshotRoundTrip pushes a ServerState through its binary codec — the
+// encoding the service persists — proving serialization keeps
+// bit-identical floats. The decoded state must re-encode to the same
+// bytes.
 func snapshotRoundTrip(t *testing.T, st *ServerState) *ServerState {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	wire, err := st.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var back ServerState
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+	back, err := DecodeServerState(wire)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &back
+	again, err := back.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, wire) {
+		t.Fatal("decoded server state re-encodes to different bytes")
+	}
+	return back
 }
 
 // TestRestoreDifferential is the acceptance-criteria test: for dense,
@@ -444,7 +452,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	}
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {
-			st := snapshotRoundTrip(t, srv.Snapshot()) // deep copy via gob
+			st := snapshotRoundTrip(t, srv.Snapshot()) // deep copy via the codec
 			mutate(st)
 			if _, err := RestoreServer(st, RestoreOptions{}); !errors.Is(err, ErrBadServerState) {
 				t.Fatalf("corrupt state: want ErrBadServerState, got %v", err)
