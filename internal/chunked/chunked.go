@@ -80,9 +80,10 @@ func (l *Log[T]) At(i int) T {
 	return l.spine[i>>shift][i&mask]
 }
 
-// SetAt replaces the element at index i (0-based). The history logs
-// never rewrite settled entries; this exists for completeness of the
-// slice semantics the log replaces and for tests.
+// SetAt replaces the element at index i (0-based) in place. The
+// append-only histories (budgets, published histograms, eps, bpl) never
+// rewrite an entry; the accountant's forward-leakage cache does, since
+// FPL(t) grows with every later release and is refreshed in place.
 func (l *Log[T]) SetAt(i int, v T) {
 	if i < 0 || i >= l.n {
 		panic("chunked: index out of range")
@@ -126,11 +127,11 @@ func (l *Log[T]) CopyAll() []T {
 }
 
 // Chunk returns the i-th chunk's elements as a live aliased view
-// (read-only by convention; the tail chunk's settled prefix is
-// immutable). Tests use it to pin down pointer stability — the
-// zero-re-copy property is exactly "chunk 0's backing array never
-// moves" — and iteration-heavy readers use it to walk the history
-// without a per-element bounds recheck.
+// (read-only by convention; SetAt writes show through it). Tests use
+// it to pin down pointer stability — the zero-re-copy property is
+// exactly "chunk 0's backing array never moves" — and iteration-heavy
+// readers use it to walk the history without a per-element bounds
+// recheck.
 func (l *Log[T]) Chunk(i int) []T {
 	if i < 0 || i > (l.n-1)>>shift || l.n == 0 {
 		panic("chunked: chunk index out of range")

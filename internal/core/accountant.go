@@ -22,14 +22,15 @@ type lossQuantifier interface {
 // Observe records that an eps-DP mechanism was applied at the next time
 // step; the accountant maintains the backward leakage incrementally
 // (BPL at time t depends only on the past) and refreshes the forward
-// series lazily and incrementally: FPL at every past time point grows
-// when new releases happen (Example 3), but the refresh recomputes
-// backward from the new tail only until it reproduces a cached value —
-// once FPL'(t+1) equals the cached FPL(t+1), every earlier point is
-// unchanged too (the recurrence is a deterministic function of the
-// successor), so the cached prefix is reused. Saturating series (any
-// bounded-supremum correlation) therefore refresh in O(appends + tail)
-// evaluations instead of O(T).
+// series lazily, in place: FPL at every past time point grows when new
+// releases happen (Example 3), but the refresh recomputes backward from
+// the new tail only until it reproduces a stored value — once a fresh
+// FPL(t) equals the stored FPL(t), every earlier point is unchanged too
+// (the recurrence is a deterministic function of the successor), so the
+// walk stops there. Saturating series (any bounded-supremum
+// correlation) therefore refresh in O(appends + tail) evaluations and
+// writes instead of O(T), and MaxTPL rescans only the 4096-step chunks
+// the refresh touched, taking the cached maxima of the rest.
 //
 // The zero value is not usable; construct with NewAccountant.
 // An Accountant is not safe for concurrent use.
@@ -39,10 +40,20 @@ type Accountant struct {
 	// storage makes the append O(1) with no memmove of the settled
 	// history (see internal/chunked — the hand-doubled slices they
 	// replace re-copied the whole multi-MB history on every doubling).
-	eps  chunked.Log[float64]
-	bpl  chunked.Log[float64] // bpl[t], maintained incrementally
-	fpl  []float64            // cached FPL series for the first fplT observations
-	fplT int                  // observation count the fpl cache was computed at
+	eps chunked.Log[float64]
+	bpl chunked.Log[float64] // bpl[t], maintained incrementally
+	// fpl is the cached FPL series as of fpl.Len() observations,
+	// updated in place by refreshFPL.
+	fpl chunked.Log[float64]
+	// tplMax[ci] is the maximum of bpl+fpl-eps over chunk ci of the
+	// history; entries below tplValid are current, the rest are
+	// rescanned by the next MaxTPL. A refresh that rewrites fpl from
+	// index lo on lowers tplValid to lo's chunk.
+	tplMax   []float64
+	tplValid int
+	// userLevel is the running sum of the budgets in step order
+	// (Corollary 1), the same additions UserLevelTPL makes.
+	userLevel float64
 
 	// Backward-loss memo: the last two (alpha, L(alpha)) evaluations.
 	// The BPL recurrence bpl[t] = L(bpl[t-1]) + eps[t] saturates under
@@ -102,6 +113,7 @@ func (a *Accountant) Observe(eps float64) (int, error) {
 		a.bpl.Append(a.backwardLoss(a.bpl.At(n-1)) + eps)
 	}
 	a.eps.Append(eps)
+	a.userLevel += eps
 	return a.eps.Len(), nil
 }
 
@@ -151,10 +163,8 @@ func (a *Accountant) FPL(t int) (float64, error) {
 	if t == a.eps.Len() {
 		return a.eps.At(t - 1), nil
 	}
-	if err := a.refreshFPL(); err != nil {
-		return 0, err
-	}
-	return a.fpl[t-1], nil
+	a.refreshFPL()
+	return a.fpl.At(t - 1), nil
 }
 
 // TPL returns the total temporal privacy leakage at 1-based time t per
@@ -172,33 +182,45 @@ func (a *Accountant) TPL(t int) (float64, error) {
 		e := a.eps.At(t - 1)
 		return a.bpl.At(t-1) + e - e, nil
 	}
-	if err := a.refreshFPL(); err != nil {
-		return 0, err
-	}
-	return a.bpl.At(t-1) + a.fpl[t-1] - a.eps.At(t-1), nil
+	a.refreshFPL()
+	return a.bpl.At(t-1) + a.fpl.At(t-1) - a.eps.At(t-1), nil
 }
 
 // MaxTPL returns the worst TPL across all time points so far: the
 // smallest alpha for which the release so far satisfies alpha-DP_T.
+// It rescans only the chunks the refresh rewrote FPL values in (the
+// tail chunk whenever a step was observed since the last read) and
+// takes the maximum over the cached per-chunk maxima of the rest; the
+// maximum of these finite values does not depend on the order it is
+// taken in, so the result is bit-identical to a full scan.
 func (a *Accountant) MaxTPL() (float64, error) {
-	T := a.eps.Len()
-	if T == 0 {
+	if a.eps.Len() == 0 {
 		return 0, nil
 	}
-	if err := a.refreshFPL(); err != nil {
-		return 0, err
+	a.refreshFPL()
+	n := a.eps.Chunks()
+	for len(a.tplMax) < n {
+		a.tplMax = append(a.tplMax, 0)
 	}
-	worst := math.Inf(-1)
-	// Walk chunk-by-chunk: one bounds check per chunk instead of three
-	// per element, and the arithmetic order matches the pre-chunk scan
-	// exactly (t ascending).
-	for ci, t := 0, 0; t < T; ci++ {
-		bc, ec := a.bpl.Chunk(ci), a.eps.Chunk(ci)
+	for ci := a.tplValid; ci < n; ci++ {
+		bc, fc, ec := a.bpl.Chunk(ci), a.fpl.Chunk(ci), a.eps.Chunk(ci)
+		worst := math.Inf(-1)
 		for i := range ec {
-			if v := bc[i] + a.fpl[t] - ec[i]; v > worst {
+			if v := bc[i] + fc[i] - ec[i]; v > worst {
 				worst = v
 			}
-			t++
+		}
+		a.tplMax[ci] = worst
+	}
+	// Every chunk is current now, the tail included: the next Observe
+	// appends into the tail, but the refresh that must follow it before
+	// any read rewrites at least the new last FPL value, which lowers
+	// tplValid to the tail chunk again.
+	a.tplValid = n
+	worst := math.Inf(-1)
+	for _, v := range a.tplMax[:n] {
+		if v > worst {
+			worst = v
 		}
 	}
 	return worst, nil
@@ -207,24 +229,14 @@ func (a *Accountant) MaxTPL() (float64, error) {
 // UserLevel returns the user-level leakage of everything released so far
 // (Corollary 1): the plain sequential sum of the budgets, accumulated in
 // step order exactly as UserLevelTPL sums a contiguous series.
-func (a *Accountant) UserLevel() float64 {
-	total := 0.0
-	for ci, n := 0, a.eps.Chunks(); ci < n; ci++ {
-		for _, e := range a.eps.Chunk(ci) {
-			total += e
-		}
-	}
-	return total
-}
+func (a *Accountant) UserLevel() float64 { return a.userLevel }
 
 // WEvent returns the worst w-window leakage so far (Theorem 2). It
 // evaluates every length-w window with the same arithmetic WEventTPL
 // applies to contiguous series — the chunked walk only changes where
 // the loads come from, never the order they are added in.
 func (a *Accountant) WEvent(w int) (float64, error) {
-	if err := a.refreshFPL(); err != nil {
-		return 0, err
-	}
+	a.refreshFPL()
 	T := a.eps.Len()
 	if w < 1 || w > T {
 		return 0, fmt.Errorf("core: window w=%d out of range [1,%d]", w, T)
@@ -233,9 +245,9 @@ func (a *Accountant) WEvent(w int) (float64, error) {
 	for start := 0; start+w <= T; start++ {
 		var v float64
 		if w == 1 {
-			v = EventLevelTPL(a.bpl.At(start), a.fpl[start], a.eps.At(start))
+			v = EventLevelTPL(a.bpl.At(start), a.fpl.At(start), a.eps.At(start))
 		} else {
-			v = a.bpl.At(start) + a.fpl[start+w-1]
+			v = a.bpl.At(start) + a.fpl.At(start+w-1)
 			for t := start + 1; t < start+w-1; t++ {
 				v += a.eps.At(t)
 			}
@@ -260,15 +272,13 @@ func (a *Accountant) WindowTPL(from, to int) (float64, error) {
 	if from > to {
 		return 0, fmt.Errorf("core: window [%d,%d] is empty", from, to)
 	}
-	if err := a.refreshFPL(); err != nil {
-		return 0, err
-	}
+	a.refreshFPL()
 	if from == to {
-		return EventLevelTPL(a.bpl.At(from-1), a.fpl[from-1], a.eps.At(from-1)), nil
+		return EventLevelTPL(a.bpl.At(from-1), a.fpl.At(from-1), a.eps.At(from-1)), nil
 	}
 	// ComposeTPL's arithmetic order: first + last, then the middle
 	// budgets in step order.
-	total := a.bpl.At(from-1) + a.fpl[to-1]
+	total := a.bpl.At(from-1) + a.fpl.At(to-1)
 	for t := from; t < to-1; t++ {
 		total += a.eps.At(t)
 	}
@@ -286,29 +296,34 @@ func (a *Accountant) checkT(t int) error {
 }
 
 // refreshFPL brings the cached forward series up to date with the
-// observations. The recurrence FPL(t) = L^F(FPL(t+1)) + eps_t runs
-// backward from the new tail; as soon as a freshly computed FPL(t+1)
-// is bit-identical to the cached value for the same t+1, every earlier
-// point must agree too (same successor, same budget, same deterministic
-// loss function), and the cached prefix is copied over wholesale. Every
-// budget was validated by Observe, so unlike the batch FPLSeries there
-// is no input to reject; the error return is kept for symmetry with the
-// other accessors.
-func (a *Accountant) refreshFPL() error {
-	T := a.eps.Len()
-	if a.fplT == T {
-		return nil
+// observations, in place. The recurrence FPL(t) = L^F(FPL(t+1)) + eps_t
+// runs backward from the new tail, writing each fresh value; at the
+// first t below the previous horizon whose stored value equals the
+// fresh one it stops, because every earlier point must agree too (same
+// successor, same budget, same deterministic loss function). Nothing
+// is reallocated or copied: the new steps get tail slots and only the
+// values that changed are rewritten. Every budget was validated by
+// Observe, so unlike the batch FPLSeries there is no input to reject.
+func (a *Accountant) refreshFPL() {
+	T, oldT := a.eps.Len(), a.fpl.Len()
+	if oldT == T {
+		return
 	}
-	old, oldT := a.fpl, a.fplT
-	fpl := make([]float64, T)
-	fpl[T-1] = a.eps.At(T - 1)
+	for a.fpl.Len() < T {
+		a.fpl.Append(0)
+	}
+	next := a.eps.At(T - 1)
+	a.fpl.SetAt(T-1, next)
+	lo := T - 1 // lowest index rewritten
 	for t := T - 2; t >= 0; t-- {
-		if t+1 < oldT && fpl[t+1] == old[t+1] {
-			copy(fpl[:t+1], old[:t+1])
+		v := a.qf.LossValue(next) + a.eps.At(t)
+		if t < oldT && a.fpl.At(t) == v {
 			break
 		}
-		fpl[t] = a.qf.LossValue(fpl[t+1]) + a.eps.At(t)
+		a.fpl.SetAt(t, v)
+		next, lo = v, t
 	}
-	a.fpl, a.fplT = fpl, T
-	return nil
+	if ci := lo / chunked.Size; ci < a.tplValid {
+		a.tplValid = ci
+	}
 }

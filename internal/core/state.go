@@ -111,8 +111,8 @@ func (a *Accountant) Snapshot() *AccountantState {
 		ForwardHash:  quantifierHash(a.qf),
 		Eps:          a.eps.CopyAll(),
 		BPL:          a.bpl.CopyAll(),
-		FPL:          append([]float64(nil), a.fpl...),
-		FPLT:         a.fplT,
+		FPL:          a.fpl.CopyAll(),
+		FPLT:         a.fpl.Len(),
 	}
 }
 
@@ -182,14 +182,19 @@ func RestoreAccountant(st *AccountantState, qb, qf *Quantifier) (*Accountant, er
 	if h := qf.ContentHash(); h != st.ForwardHash {
 		return nil, &InvalidStateError{Field: "forward_hash", Reason: fmt.Sprintf("state was captured against %q, restoring against %q", abbrevHash(st.ForwardHash), abbrevHash(h))}
 	}
-	return &Accountant{
-		qb:   qb,
-		qf:   qf,
-		eps:  chunked.FromSlice(st.Eps),
-		bpl:  chunked.FromSlice(st.BPL),
-		fpl:  append([]float64(nil), st.FPL...),
-		fplT: st.FPLT,
-	}, nil
+	a := &Accountant{
+		qb:  qb,
+		qf:  qf,
+		eps: chunked.FromSlice(st.Eps),
+		bpl: chunked.FromSlice(st.BPL),
+		fpl: chunked.FromSlice(st.FPL),
+	}
+	// Rebuild the running user-level sum in step order, the same
+	// additions Observe made.
+	for _, e := range st.Eps {
+		a.userLevel += e
+	}
+	return a, nil
 }
 
 // abbrevHash keeps error messages readable: content hashes are 64 hex

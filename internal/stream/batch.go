@@ -219,10 +219,23 @@ func (s *Server) releaseLocked(p *preparedStep, slab *[]float64, out *StepResult
 	// (the doubling memmove it replaces was visible in ingest
 	// profiles).
 	s.published.Append(noisy)
-	s.budgets.Append(p.eps)
+	s.appendBudgetLocked(p.eps)
 	*out = StepResult{T: s.budgets.Len(), Eps: p.eps, Planned: p.planned, Published: noisy}
 	if s.noiseSrc != nil {
 		out.Draws = s.noiseSrc.draws
+	}
+}
+
+// appendBudgetLocked records eps as the next step's budget and folds it
+// into the running Report totals: the user-level sum, added in step
+// order exactly as core.UserLevelTPL adds a contiguous series, and the
+// nominal per-step maximum. Every budget append goes through here.
+// Caller holds the write lock.
+func (s *Server) appendBudgetLocked(eps float64) {
+	s.budgets.Append(eps)
+	s.userLevel += eps
+	if eps > s.nominalEvent {
+		s.nominalEvent = eps
 	}
 }
 

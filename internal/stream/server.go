@@ -103,6 +103,11 @@ type Server struct {
 	// memmove (see internal/chunked).
 	published chunked.Log[[]float64] // r^1, r^2, ... (noisy histograms)
 	budgets   chunked.Log[float64]   // eps_t actually spent
+	// userLevel and nominalEvent are the running Report totals over
+	// budgets: the sum in step order and the maximum (see
+	// appendBudgetLocked).
+	userLevel    float64
+	nominalEvent float64
 
 	plan     release.Plan // optional budget plan for CollectPlanned
 	planBase int          // number of steps already taken when the plan was attached
@@ -131,8 +136,9 @@ type Server struct {
 // Users with content-identical models (same transition probabilities,
 // including both being absent) are grouped into one cohort sharing a
 // single accountant; see the package comment. Passing the same *Chain
-// pointer to many users is the cheap way to declare a cohort — content
-// is only fingerprinted once per distinct pointer.
+// pointers to many users is the cheap way to declare a cohort — content
+// is only fingerprinted once per distinct pointer, and a user whose
+// (backward, forward) pointer pair was seen before costs one map lookup.
 //
 // Compiled correlation models are additionally deduplicated by chain
 // content within the server: cohorts whose backward or forward chains
@@ -185,25 +191,34 @@ func NewServerCached(domain, users int, models []AdversaryModel, rng *rand.Rand,
 		s.rng = rng
 		s.noiseProvenance = NoiseExternal
 	}
-	byKey := make(map[string]int) // model fingerprint -> cohort index
+	// Cohorts are keyed by model content. Populations declare a cohort
+	// by sharing chain pointers, so a pointer-pair memo answers every
+	// user after the first of each pair without building or hashing a
+	// content key; cohort indices still follow first encounter.
+	byPair := make(map[[2]*markov.Chain]int) // chain pointers -> cohort index
+	byKey := make(map[string]int)            // model fingerprint -> cohort index
 	fps := make(map[*markov.Chain]string)
 	for i, m := range models {
-		// Length-prefix the backward fingerprint so the concatenation of
-		// two variable-length byte strings stays unambiguous.
-		bfp := chainFingerprint(m.Backward, fps)
-		ffp := chainFingerprint(m.Forward, fps)
-		key := strconv.Itoa(len(bfp)) + ":" + bfp + ffp
-		ci, ok := byKey[key]
+		pair := [2]*markov.Chain{m.Backward, m.Forward}
+		ci, ok := byPair[pair]
 		if !ok {
-			ci = len(s.cohorts)
-			byKey[key] = ci
-			// The quantifiers come from the content-keyed cache: cohorts
-			// (and, with a shared cache, whole servers) with the same
-			// chain reuse one compiled engine. Compilation is a
-			// deterministic function of chain content, so sharing is
-			// invisible to the accounting.
-			acc := core.NewAccountantFromQuantifiers(cache.quantifier(m.Backward, bfp), cache.quantifier(m.Forward, ffp))
-			s.cohorts = append(s.cohorts, &cohort{acc: acc, firstUser: i, backward: m.Backward, forward: m.Forward})
+			// Length-prefix the backward fingerprint so the concatenation
+			// of two variable-length byte strings stays unambiguous.
+			bfp := chainFingerprint(m.Backward, fps)
+			ffp := chainFingerprint(m.Forward, fps)
+			key := strconv.Itoa(len(bfp)) + ":" + bfp + ffp
+			if ci, ok = byKey[key]; !ok {
+				ci = len(s.cohorts)
+				byKey[key] = ci
+				// The quantifiers come from the content-keyed cache:
+				// cohorts (and, with a shared cache, whole servers) with
+				// the same chain reuse one compiled engine. Compilation
+				// is a deterministic function of chain content, so
+				// sharing is invisible to the accounting.
+				acc := core.NewAccountantFromQuantifiers(cache.quantifier(m.Backward, bfp), cache.quantifier(m.Forward, ffp))
+				s.cohorts = append(s.cohorts, &cohort{acc: acc, firstUser: i, backward: m.Backward, forward: m.Forward})
+			}
+			byPair[pair] = ci
 		}
 		s.userCohort[i] = ci
 	}
@@ -537,24 +552,18 @@ type Report struct {
 	NominalEventLevel float64
 }
 
-// Report computes the current privacy guarantee summary.
+// Report computes the current privacy guarantee summary. It holds the
+// read lock (so collections wait) for O(cohorts + steps since the last
+// report): UserLevel and NominalEventLevel are running totals kept as
+// budgets are appended, and each cohort's MaxTPL refreshes and rescans
+// only what the new steps changed.
 func (s *Server) Report() (*Report, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.budgets.Len() == 0 {
 		return &Report{}, nil
 	}
-	// UserLevel is core.UserLevelTPL's plain sequential sum, walked
-	// chunk-by-chunk in the same step order.
-	r := &Report{T: s.budgets.Len()}
-	for ci, n := 0, s.budgets.Chunks(); ci < n; ci++ {
-		for _, e := range s.budgets.Chunk(ci) {
-			r.UserLevel += e
-			if e > r.NominalEventLevel {
-				r.NominalEventLevel = e
-			}
-		}
-	}
+	r := &Report{T: s.budgets.Len(), UserLevel: s.userLevel, NominalEventLevel: s.nominalEvent}
 	// Every member of a cohort attains the same leakage, and cohorts
 	// are ordered by first-encountered user id, so keeping the first
 	// cohort on ties makes the worst user the smallest user id

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/chunked"
 	"repro/internal/core"
 	"repro/internal/markov"
 	"repro/internal/release"
@@ -260,9 +259,13 @@ func RestoreServer(st *ServerState, opts RestoreOptions) (*Server, error) {
 		sensitivity: st.Sensitivity,
 		noise:       release.Noise(st.Noise),
 		userCohort:  append([]int(nil), st.UserCohort...),
-		budgets:     chunked.FromSlice(st.Budgets),
 		planBase:    st.PlanBase,
 		plan:        opts.Plan,
+	}
+	// Appending in step order rebuilds the running Report totals with
+	// the same additions the original server made.
+	for _, e := range st.Budgets {
+		s.appendBudgetLocked(e)
 	}
 	for _, row := range st.Published {
 		s.published.Append(append([]float64(nil), row...))
@@ -354,7 +357,7 @@ func (s *Server) ApplyStep(rec StepRecord) error {
 	}
 	s.observeAll([]float64{rec.Eps})
 	s.published.Append(append([]float64(nil), rec.Published...))
-	s.budgets.Append(rec.Eps)
+	s.appendBudgetLocked(rec.Eps)
 	if s.noiseSrc != nil && s.noiseProvenance == NoiseSeeded && rec.NoiseDraws > s.noiseSrc.draws {
 		s.noiseSrc.skip(rec.NoiseDraws - s.noiseSrc.draws)
 	}
